@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import sys
 from pathlib import Path
@@ -260,6 +261,8 @@ def run_service(args, out_dir: Path) -> tuple[dict, dict | None]:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    # A terminated run unwinds, so the service's server process is stopped.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     if not (ROOT / "src" / "repro").is_dir():
         print(f"error: no QFE sources under {ROOT / 'src'}; run from a full checkout", file=sys.stderr)
         return 2

@@ -148,6 +148,9 @@ class Server:
                 if time.monotonic() > deadline:
                     raise RuntimeError("qfe-serve /healthz never answered 200")
                 time.sleep(0.05)
+        except BaseException:
+            self.stop()
+            raise
         finally:
             probe.close()
 
