@@ -281,8 +281,8 @@ def timed_phase(port: int, seed: int, cycles: int) -> tuple[list[ServiceSession]
     return sessions, wall
 
 
-def replay(sessions: list[ServiceSession]) -> dict[tuple, tuple[str, str | None]]:
-    """In-process reference transcripts for every distinct choice sequence.
+def replay(wanted: set[tuple]) -> dict[tuple, tuple[str, str | None]]:
+    """In-process reference transcripts for the given choice sequences.
 
     Each sequence drives a plain :class:`QFESession` over the same inputs the
     service builds. Sequences sharing a prefix share its rounds: the reference
@@ -293,7 +293,6 @@ def replay(sessions: list[ServiceSession]) -> dict[tuple, tuple[str, str | None]
         inputs.SERVICE_WORKLOAD, inputs.SERVICE_SCALE
     )
     join_cache = JoinCache()
-    wanted = {tuple(run.choices) for run in sessions if run.error is None}
     out: dict[tuple, tuple[str, str | None]] = {}
 
     def walk(session: QFESession, prefix: tuple, sequences: set) -> None:
@@ -332,19 +331,38 @@ def replay(sessions: list[ServiceSession]) -> dict[tuple, tuple[str, str | None]
     return out
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def check(sessions: list[ServiceSession], book: TranscriptBook) -> None:
-    """Compare every session with its in-process reference; records failures."""
-    references = replay(sessions)
-    for run in sessions:
+    """Compare every session with its in-process reference; records failures.
+
+    The service's pair and the cycles' choice sequences are the same in every
+    run, so a reference that passed its oracle check is remembered in the
+    book and replayed once per checkout, not once per run.
+    """
+
+    def remembered(choices: tuple) -> str:
+        return f"service-http:reference:{','.join(map(str, choices))}"
+
+    ok = [run for run in sessions if run.error is None]
+    sequences = {tuple(run.choices) for run in ok}
+    missing = {choices for choices in sequences if remembered(choices) not in book.seen}
+    for choices, (text, error) in replay(missing).items():
+        if error is not None:
+            for run in ok:
+                if tuple(run.choices) == choices:
+                    run.error = error
+        else:
+            book.seen[remembered(choices)] = _sha(text)
+    for run in ok:
         if run.error is not None:
             continue
-        reference, error = references[tuple(run.choices)]
-        if error is not None:
-            run.error = error
-        elif run.transcript != reference:
+        sha = _sha(run.transcript)
+        if sha != book.seen[remembered(tuple(run.choices))]:
             run.error = "service transcript differs from the in-process session"
         else:
-            sha = hashlib.sha256(run.transcript.encode()).hexdigest()
             run.error = book.check(run.key, sha)
 
 
